@@ -284,7 +284,15 @@ void CosimLoop::publish_gauges(const EpochReport& e) {
       .set(static_cast<double>(e.retransmits));
   // Per-class tail latency alongside the droop gauges, so one RunReport
   // section carries both halves of the workload/power story.
-  std::vector<std::uint64_t> sorted = latencies_;
+  // A nearest-rank percentile depends only on the multiset of samples, and
+  // nth_element only permutes: the scratch copy is topped up with the
+  // latencies completed since the last epoch instead of re-copied whole.
+  latency_scratch_.insert(
+      latency_scratch_.end(),
+      latencies_.begin() +
+          static_cast<std::ptrdiff_t>(latency_scratch_.size()),
+      latencies_.end());
+  std::vector<std::uint64_t>& sorted = latency_scratch_;
   metrics_.gauge("cosim.workload_p50_latency")
       .set(static_cast<double>(obs::nearest_rank_percentile(sorted, 0.50)));
   metrics_.gauge("cosim.workload_p95_latency")
@@ -361,6 +369,7 @@ void CosimLoop::load_state(ckpt::Reader& r) {
   const std::size_t n_lat = r.length(8);
   latencies_.resize(n_lat);
   for (std::uint64_t& l : latencies_) l = r.u64();
+  latency_scratch_.clear();
   tracker_.load_state(r);
   r.expect_tag(ckpt::fourcc("SEED"), "warm-start seeds");
   const std::size_t n_seeds = r.length(8);

@@ -249,6 +249,9 @@ class CosimLoop {
   std::vector<noc::CompletedTransaction> done_;
   std::vector<workloads::Injection> inject_buf_;
   std::vector<std::uint64_t> latencies_;
+  /// publish_gauges' selection buffer: the same multiset as latencies_ in
+  /// nth_element order, extended each epoch by the new completions.
+  std::vector<std::uint64_t> latency_scratch_;
 
   void inject_traffic();
   void couple();  ///< the epoch-boundary coupling step

@@ -509,30 +509,29 @@ void MeshNetwork::phase_commit(std::vector<Packet>& ejected) {
 
   if (total > 0) {
     // Only the Local port ejects and each output grants once per cycle, so
-    // tile indices are unique: sorting restores the global tile order the
-    // serial sweep produced (shards interleave per row).
-    if (shards_ == 1) {
-      for (const auto& [tile, pkt] : scratch_[0].ejected) {
-        ejected.push_back(pool_[pkt]);
-        pool_free_.push_back(pkt);
+    // tile indices are unique, and each shard's list is in ascending tile
+    // order.  Shards are column bands, so the global tile order the serial
+    // sweep produced is: row by row, and within a row shard by shard.
+    const std::size_t w = static_cast<std::size_t>(grid_.width());
+    eject_cursor_.assign(shards_, 0);
+    for (std::size_t left = total; left > 0;) {
+      std::size_t row = SIZE_MAX;
+      for (std::size_t s = 0; s < shards_; ++s) {
+        const ShardScratch& sc = scratch_[s];
+        if (eject_cursor_[s] < sc.ejected.size())
+          row = std::min<std::size_t>(row,
+                                      sc.ejected[eject_cursor_[s]].first / w);
       }
-      scratch_[0].ejected.clear();
-    } else {
-      eject_merge_.clear();
-      for (ShardScratch& sc : scratch_) {
-        for (const auto& e : sc.ejected) eject_merge_.push_back(e);
-        sc.ejected.clear();
-      }
-      std::sort(eject_merge_.begin(), eject_merge_.end(),
-                [](const std::pair<std::uint32_t, std::uint32_t>& a,
-                   const std::pair<std::uint32_t, std::uint32_t>& b) {
-                  return a.first < b.first;
-                });
-      for (const auto& [tile, pkt] : eject_merge_) {
-        ejected.push_back(pool_[pkt]);
-        pool_free_.push_back(pkt);
+      for (std::size_t s = 0; s < shards_; ++s) {
+        const auto& list = scratch_[s].ejected;
+        std::size_t& i = eject_cursor_[s];
+        for (; i < list.size() && list[i].first / w == row; ++i, --left) {
+          ejected.push_back(pool_[list[i].second]);
+          pool_free_.push_back(list[i].second);
+        }
       }
     }
+    for (ShardScratch& sc : scratch_) sc.ejected.clear();
   }
 
   ctr_.cycles->add();

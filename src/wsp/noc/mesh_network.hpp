@@ -399,7 +399,7 @@ class MeshNetwork {
   std::size_t shards_ = 1;
   std::vector<int> shard_x0_;  ///< shards_+1 column boundaries
   std::vector<ShardScratch> scratch_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> eject_merge_;
+  std::vector<std::size_t> eject_cursor_;  ///< per-shard merge position
 
   /// Per-tile activity totals (injections serial; traversals written only
   /// by the routing shard that owns the tile; retransmits only by the

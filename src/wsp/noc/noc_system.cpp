@@ -1,6 +1,7 @@
 #include "wsp/noc/noc_system.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "wsp/ckpt/checkpoint.hpp"
 #include "wsp/common/error.hpp"
@@ -44,7 +45,8 @@ void NetworkSelector::rebind(const FaultMap& faults,
           "rebind: link fault set grid mismatch");
   analyzer_ = ConnectivityAnalyzer(faults);
   links_ = links;
-  cache_.clear();
+  plans_.clear();
+  plan_index_.clear();
   ++generation_;
 }
 
@@ -135,17 +137,19 @@ RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
   return plan;
 }
 
-RoutePlan NetworkSelector::plan(TileCoord src, TileCoord dst) const {
+const RoutePlan& NetworkSelector::plan(TileCoord src, TileCoord dst) const {
+  static const RoutePlan kOffGrid{};
   const TileGrid& grid = analyzer_.faults().grid();
-  if (!grid.contains(src) || !grid.contains(dst)) return {};
+  if (!grid.contains(src) || !grid.contains(dst)) return kOffGrid;
   const std::uint64_t key =
       (static_cast<std::uint64_t>(grid.index_of(src)) << 32) |
       static_cast<std::uint64_t>(grid.index_of(dst));
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  RoutePlan p = compute_plan(src, dst);
-  cache_.emplace(key, p);
-  return p;
+  std::uint32_t slot = plan_index_.find(key);
+  if (slot == FlatIndex::kNone) {
+    slot = static_cast<std::uint32_t>(plans_.push_back(compute_plan(src, dst)));
+    plan_index_.insert(key, slot);
+  }
+  return plans_[slot];
 }
 
 NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,
@@ -176,8 +180,103 @@ NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,
           "retry backoff must be >= 1 cycle");
 }
 
+std::uint32_t NocSystem::alloc_node(const Packet& p) {
+  std::uint32_t node = queued_free_;
+  if (node == kNil)
+    return static_cast<std::uint32_t>(queued_.push_back(QueuedPacket{p}));
+  queued_free_ = queued_[node].next;
+  queued_[node].packet = p;
+  return node;
+}
+
+// Due-order argument: step() serves the overflow heap before the wheel
+// bucket of the same cycle.  A packet enters the heap only when it was
+// scheduled at least a span ahead, i.e. at an earlier cycle than any
+// packet that lands in the wheel for the same due cycle, so its seq is
+// smaller.  Heap-then-bucket is therefore global (due, seq) order.  The
+// same holds after load_state, which puts every restored packet in the
+// heap: anything scheduled later carries a larger seq.
 void NocSystem::schedule(std::uint64_t due, const Packet& p) {
-  pending_.push(PendingInjection{due, pending_seq_++, p});
+  const std::uint32_t node = alloc_node(p);
+  queued_[node].seq = pending_seq_++;
+  if (due - cycle_ < kInjectionWheelSpan)
+    append(wheel_[due % kInjectionWheelSpan], node);
+  else
+    far_.push(FarInjection{due, queued_[node].seq, node});
+  ++pending_count_;
+}
+
+void NocSystem::make_ready(std::uint32_t node) {
+  const Packet& p = queued_[node].packet;
+  if (faults_.is_faulty(p.src))
+    free_node(node);
+  else
+    push_ready(static_cast<std::size_t>(p.network), grid_index_of(p.src),
+               node);
+}
+
+void NocSystem::push_ready(std::size_t net, std::size_t tile,
+                           std::uint32_t node) {
+  if (ready_.empty()) {
+    // Sized on first use, so that constructing a NocSystem allocates
+    // nothing beyond the meshes.
+    const std::size_t tiles = faults_.grid().tile_count();
+    ready_words_ = (tiles + 63) / 64;
+    ready_.resize(2 * tiles);
+    ready_bits_.assign(2 * ready_words_, 0);
+  }
+  append(ready_[net * faults_.grid().tile_count() + tile], node);
+  ready_bits_[net * ready_words_ + tile / 64] |= std::uint64_t{1}
+                                                << (tile % 64);
+  ++ready_count_;
+}
+
+std::size_t NocSystem::clear_ready(std::size_t queue) {
+  const std::size_t tiles = faults_.grid().tile_count();
+  const std::size_t tile = queue % tiles;
+  ready_bits_[(queue / tiles) * ready_words_ + tile / 64] &=
+      ~(std::uint64_t{1} << (tile % 64));
+  std::size_t n = 0;
+  for (std::uint32_t node = ready_[queue].head; node != kNil;) {
+    const std::uint32_t next = queued_[node].next;
+    free_node(node);
+    node = next;
+    ++n;
+  }
+  ready_[queue] = PacketList{};
+  return n;
+}
+
+void NocSystem::reset_injections() {
+  queued_.clear();
+  queued_free_ = kNil;
+  wheel_.fill(PacketList{});
+  far_ = {};
+  pending_count_ = 0;
+  std::fill(ready_.begin(), ready_.end(), PacketList{});
+  std::fill(ready_bits_.begin(), ready_bits_.end(), 0);
+  ready_count_ = 0;
+}
+
+NocSystem::LiveTransaction& NocSystem::add_live(std::uint64_t id) {
+  LiveTransaction txn;
+  txn.id = id;
+  std::uint32_t slot;
+  if (live_free_.empty()) {
+    slot = static_cast<std::uint32_t>(live_.push_back(txn));
+  } else {
+    slot = live_free_.back();
+    live_free_.pop_back();
+    live_[slot] = txn;
+  }
+  live_index_.insert(id, slot);
+  return live_[slot];
+}
+
+void NocSystem::erase_live(std::uint64_t id) {
+  const std::uint32_t slot = live_index_.erase(id);
+  live_[slot].id = 0;
+  live_free_.push_back(slot);
 }
 
 void NocSystem::arm_deadline(std::uint64_t id, const LiveTransaction& txn,
@@ -192,15 +291,15 @@ std::optional<std::uint64_t> NocSystem::issue(TileCoord src, TileCoord dst,
                                               std::uint64_t payload,
                                               std::uint32_t address) {
   require(is_request(type), "issue() takes a request packet type");
-  RoutePlan plan = selector_.plan(src, dst);
+  const RoutePlan& plan = selector_.plan(src, dst);
   if (!plan.reachable) {
     ctr_.unreachable->add();
     return std::nullopt;
   }
 
   const std::uint64_t id = next_id_++;
-  LiveTransaction txn;
-  txn.plan = std::move(plan);
+  LiveTransaction& txn = add_live(id);
+  txn.plan = plan;
   txn.type = type;
   txn.payload = payload;
   txn.address = address;
@@ -219,7 +318,6 @@ std::optional<std::uint64_t> NocSystem::issue(TileCoord src, TileCoord dst,
 
   if (txn.plan.relayed) ctr_.relayed->add();
   arm_deadline(id, txn, cycle_);
-  live_.emplace(id, std::move(txn));
   schedule(cycle_, p);
   ctr_.issued->add();
   return id;
@@ -227,7 +325,7 @@ std::optional<std::uint64_t> NocSystem::issue(TileCoord src, TileCoord dst,
 
 void NocSystem::lose_transaction(std::uint64_t id) {
   ctr_.lost->add();
-  live_.erase(id);
+  erase_live(id);
 }
 
 void NocSystem::process_timeouts() {
@@ -235,9 +333,9 @@ void NocSystem::process_timeouts() {
   while (!deadlines_.empty() && deadlines_.top().due_cycle <= cycle_) {
     const Deadline d = deadlines_.top();
     deadlines_.pop();
-    const auto it = live_.find(d.id);
-    if (it == live_.end()) continue;           // already completed or lost
-    LiveTransaction& txn = it->second;
+    LiveTransaction* found = find_live(d.id);
+    if (!found) continue;                      // already completed or lost
+    LiveTransaction& txn = *found;
     if (txn.attempts != d.attempt) continue;   // superseded by a retry
 
     ctr_.timeouts->add();
@@ -249,7 +347,7 @@ void NocSystem::process_timeouts() {
     // Replan against the *current* fault map: the route that stranded this
     // transaction may be dead, but the pair may still be reachable via the
     // other network or a relay tile.
-    RoutePlan fresh =
+    const RoutePlan& fresh =
         selector_.plan(txn.plan.waypoints.front(), txn.plan.waypoints.back());
     if (!fresh.reachable) {
       lose_transaction(d.id);
@@ -258,7 +356,7 @@ void NocSystem::process_timeouts() {
 
     ++txn.attempts;
     ctr_.retries->add();
-    txn.plan = std::move(fresh);
+    txn.plan = fresh;
     txn.segment = 0;
     txn.returning = false;
 
@@ -283,14 +381,14 @@ void NocSystem::process_timeouts() {
 
 void NocSystem::handle_ejection(const Packet& p,
                                 std::vector<CompletedTransaction>& done) {
-  const auto it = live_.find(p.id);
-  if (it == live_.end()) {
+  LiveTransaction* found = find_live(p.id);
+  if (!found) {
     // Transaction already declared lost (or completed via a faster
     // attempt); this packet is a straggler from a superseded send.
     ctr_.stale_packets->add();
     return;
   }
-  LiveTransaction& txn = it->second;
+  LiveTransaction& txn = *found;
   if (p.attempt != txn.attempts) {
     ctr_.stale_packets->add();
     return;
@@ -299,7 +397,7 @@ void NocSystem::handle_ejection(const Packet& p,
   const auto& nets = txn.plan.segment_networks;
 
   if (!txn.returning) {
-    if (txn.segment + 2 == wp.size()) {
+    if (txn.segment + 2u == wp.size()) {
       // Reached the final destination: the tile services the request and
       // answers on the complementary network along the same tiles.
       if (delivery_listener_) delivery_listener_(p);
@@ -344,7 +442,7 @@ void NocSystem::handle_ejection(const Packet& p,
     done.push_back(ct);
     ctr_.completed->add();
     ctr_.latency->record(ct.latency());
-    live_.erase(it);
+    erase_live(p.id);
     return;
   }
 
@@ -366,27 +464,46 @@ void NocSystem::step(std::vector<CompletedTransaction>& done) {
     yx_.set_link_ber(*staged_ber_);
     staged_ber_.reset();
   }
-  // Move everything due into the per-tile ready queues, then drain each
-  // tile's queue head-first while its local FIFO accepts packets.  A
-  // packet whose source tile died while it waited is dropped here — its
-  // transaction recovers (or is declared lost) via the timeout machinery.
-  while (!pending_.empty() && pending_.top().due_cycle <= cycle_) {
-    const Packet& p = pending_.top().packet;
-    if (!faults_.is_faulty(p.src)) {
-      ready_[static_cast<std::size_t>(p.network)]
-          [grid_index_of(p.src)].push_back(p);
-      ++ready_count_;
-    }
-    pending_.pop();
+  // Move everything due into the per-tile ready queues in (due, seq)
+  // order — overflow heap first, then this cycle's wheel bucket (see
+  // schedule) — then drain each tile's queue head-first while its local
+  // FIFO accepts packets.  A packet whose source tile died while it waited
+  // is dropped here — its transaction recovers (or is declared lost) via
+  // the timeout machinery.
+  while (!far_.empty() && far_.top().due_cycle <= cycle_) {
+    const std::uint32_t node = far_.top().node;
+    far_.pop();
+    --pending_count_;
+    make_ready(node);
   }
-  for (auto& per_net : ready_) {
-    for (auto it = per_net.begin(); it != per_net.end();) {
-      std::deque<Packet>& q = it->second;
-      while (!q.empty() && net(q.front().network).inject(q.front())) {
-        q.pop_front();
-        --ready_count_;
+  PacketList& bucket = wheel_[cycle_ % kInjectionWheelSpan];
+  for (std::uint32_t node = bucket.head; node != kNil;) {
+    const std::uint32_t next = queued_[node].next;
+    --pending_count_;
+    make_ready(node);
+    node = next;
+  }
+  bucket = PacketList{};
+  const std::size_t tiles = faults_.grid().tile_count();
+  for (std::size_t k = 0; k < 2; ++k) {
+    MeshNetwork& mesh = k == 0 ? xy_ : yx_;
+    for (std::size_t w = 0; w < ready_words_; ++w) {
+      std::uint64_t& word = ready_bits_[k * ready_words_ + w];
+      for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const std::size_t tile =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        PacketList& q = ready_[k * tiles + tile];
+        while (q.head != kNil && mesh.inject(queued_[q.head].packet)) {
+          const std::uint32_t node = q.head;
+          q.head = queued_[node].next;
+          free_node(node);
+          --ready_count_;
+        }
+        if (q.head == kNil) {
+          q.tail = kNil;
+          word &= ~(std::uint64_t{1} << (tile % 64));
+        }
       }
-      it = q.empty() ? per_net.erase(it) : std::next(it);
     }
   }
 
@@ -432,10 +549,11 @@ void NocSystem::step(std::vector<CompletedTransaction>& done) {
 bool NocSystem::drain(std::vector<CompletedTransaction>& done,
                       std::uint64_t max_cycles) {
   const std::uint64_t limit = cycle_ + max_cycles;
-  while ((!live_.empty() || !pending_.empty() || ready_count_ > 0) &&
-         cycle_ < limit)
-    step(done);
-  return live_.empty() && pending_.empty() && ready_count_ == 0;
+  const auto idle = [&] {
+    return live_index_.size() == 0 && pending_count_ == 0 && ready_count_ == 0;
+  };
+  while (!idle() && cycle_ < limit) step(done);
+  return idle();
 }
 
 void NocSystem::apply_fault_state(const FaultMap& faults,
@@ -451,16 +569,11 @@ void NocSystem::apply_fault_state(const FaultMap& faults,
 
   // Packets waiting at the injection boundary of a dead tile can never
   // enter the mesh; drop them now so the ready queues keep draining.
-  for (auto& per_net : ready_) {
-    for (auto it = per_net.begin(); it != per_net.end();) {
-      if (faults_.is_faulty(faults_.grid().coord_of(it->first))) {
-        ready_count_ -= it->second.size();
-        it = per_net.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  const std::size_t tiles = faults_.grid().tile_count();
+  for (std::size_t q = 0; q < ready_.size(); ++q)
+    if (ready_[q].head != kNil &&
+        faults_.is_faulty(faults_.grid().coord_of(q % tiles)))
+      ready_count_ -= clear_ready(q);
   ctr_.replans->add();
 }
 
@@ -621,15 +734,17 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   w.u64(pending_seq_);
 
   // Live transactions, sorted by id so the byte stream is independent of
-  // unordered_map iteration order.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(live_.size());
-  for (const auto& [id, txn] : live_) ids.push_back(id);
+  // slab slot assignment.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ids;
+  ids.reserve(live_index_.size());
+  for (std::size_t slot = 0; slot < live_.size(); ++slot)
+    if (live_[slot].id != 0)
+      ids.emplace_back(live_[slot].id, static_cast<std::uint32_t>(slot));
   std::sort(ids.begin(), ids.end());
   w.tag(ckpt::fourcc("LIVE"));
   w.u64(ids.size());
-  for (std::uint64_t id : ids) {
-    const LiveTransaction& txn = live_.at(id);
+  for (const auto& [id, slot] : ids) {
+    const LiveTransaction& txn = live_[slot];
     w.u64(id);
     w.u64(txn.plan.waypoints.size());
     for (TileCoord c : txn.plan.waypoints) save_coord(w, c);
@@ -647,11 +762,11 @@ void NocSystem::save_state(ckpt::Writer& w) const {
     w.u32(txn.attempts);
   }
 
-  // Both priority queues drain (off a copy) in comparator order, which is
-  // a total order here — Deadline keys (due_cycle, id) and
-  // PendingInjection keys (due_cycle, seq) are unique — so the serialised
-  // order, and the observable pop order after a re-push on load, are
-  // independent of the heap's internal layout.
+  // Deadlines drain (off a copy) in comparator order, and the deferred
+  // injections (wheel plus overflow heap) are written sorted by
+  // (due_cycle, seq).  Both keys are unique, so the serialised order, and
+  // the observable pop order after a reload, are independent of the
+  // containers' internal layout.
   w.tag(ckpt::fourcc("DDLN"));
   {
     auto copy = deadlines_;
@@ -666,24 +781,51 @@ void NocSystem::save_state(ckpt::Writer& w) const {
   }
   w.tag(ckpt::fourcc("PEND"));
   {
-    auto copy = pending_;
-    w.u64(copy.size());
-    while (!copy.empty()) {
-      const PendingInjection& p = copy.top();
-      w.u64(p.due_cycle);
-      w.u64(p.seq);
-      save_full_packet(w, p.packet);
-      copy.pop();
+    std::vector<FarInjection> all;
+    all.reserve(pending_count_);
+    for (auto copy = far_; !copy.empty(); copy.pop()) all.push_back(copy.top());
+    // Bucket b holds the packets due in the one cycle of
+    // [cycle_, cycle_ + span) that is congruent to b.
+    for (std::uint64_t b = 0; b < kInjectionWheelSpan; ++b) {
+      const std::uint64_t due =
+          cycle_ + (b + kInjectionWheelSpan - cycle_ % kInjectionWheelSpan) %
+                       kInjectionWheelSpan;
+      for (std::uint32_t n = wheel_[b].head; n != kNil; n = queued_[n].next)
+        all.push_back(FarInjection{due, queued_[n].seq, n});
+    }
+    std::sort(all.begin(), all.end(),
+              [](const FarInjection& a, const FarInjection& b) {
+                return std::tie(a.due_cycle, a.seq) <
+                       std::tie(b.due_cycle, b.seq);
+              });
+    w.u64(all.size());
+    for (const FarInjection& e : all) {
+      w.u64(e.due_cycle);
+      w.u64(e.seq);
+      save_full_packet(w, queued_[e.node].packet);
     }
   }
 
   w.tag(ckpt::fourcc("REDY"));
-  for (const auto& per_net : ready_) {
-    w.u64(per_net.size());
-    for (const auto& [tile, q] : per_net) {
-      w.u64(tile);
-      w.u64(q.size());
-      for (const Packet& p : q) save_full_packet(w, p);
+  const std::size_t tiles = faults_.grid().tile_count();
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::uint64_t* bits = ready_bits_.data() + k * ready_words_;
+    std::uint64_t nonempty = 0;
+    for (std::size_t i = 0; i < ready_words_; ++i)
+      nonempty += static_cast<std::uint64_t>(std::popcount(bits[i]));
+    w.u64(nonempty);
+    for (std::size_t i = 0; i < ready_words_; ++i) {
+      for (std::uint64_t b = bits[i]; b != 0; b &= b - 1) {
+        const std::size_t t =
+            i * 64 + static_cast<std::size_t>(std::countr_zero(b));
+        const PacketList& q = ready_[k * tiles + t];
+        std::uint64_t len = 0;
+        for (std::uint32_t n = q.head; n != kNil; n = queued_[n].next) ++len;
+        w.u64(t);
+        w.u64(len);
+        for (std::uint32_t n = q.head; n != kNil; n = queued_[n].next)
+          save_full_packet(w, queued_[n].packet);
+      }
     }
   }
 
@@ -746,19 +888,23 @@ void NocSystem::load_state(ckpt::Reader& r) {
 
   r.expect_tag(ckpt::fourcc("LIVE"), "live transactions");
   live_.clear();
+  live_free_.clear();
+  live_index_.clear();
   const std::size_t live_count = r.length(8);
   for (std::size_t i = 0; i < live_count; ++i) {
     const std::uint64_t id = r.u64();
     LiveTransaction txn;
+    txn.id = id;
     const std::size_t nwp = r.length(8);
-    txn.plan.waypoints.reserve(nwp);
+    if (nwp > 3)
+      throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
+                        "route plan waypoint/segment shape is invalid");
     for (std::size_t k = 0; k < nwp; ++k)
       txn.plan.waypoints.push_back(load_coord(r, grid));
     const std::size_t nseg = r.length(1);
     if (nwp < 2 || nseg + 1 != nwp)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "route plan waypoint/segment shape is invalid");
-    txn.plan.segment_networks.reserve(nseg);
     for (std::size_t k = 0; k < nseg; ++k) {
       const std::uint8_t net = r.u8();
       if (net > 1)
@@ -776,15 +922,17 @@ void NocSystem::load_state(ckpt::Reader& r) {
     txn.payload = r.u64();
     txn.address = r.u32();
     txn.issue_cycle = r.u64();
-    txn.segment = static_cast<std::size_t>(r.u64());
+    const std::uint64_t segment = r.u64();
     txn.returning = r.b();
     txn.attempts = r.u32();
-    if (txn.segment + 1 >= nwp)
+    if (segment >= nwp - 1)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "transaction segment index out of range");
-    if (!live_.emplace(id, std::move(txn)).second)
+    txn.segment = static_cast<std::uint8_t>(segment);
+    if (id == 0 || live_index_.find(id) != FlatIndex::kNone)
       throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                         "duplicate live transaction id");
+    live_index_.insert(id, static_cast<std::uint32_t>(live_.push_back(txn)));
   }
 
   r.expect_tag(ckpt::fourcc("DDLN"), "deadlines");
@@ -798,21 +946,23 @@ void NocSystem::load_state(ckpt::Reader& r) {
     deadlines_.push(d);
   }
 
+  // Every restored deferred injection goes to the overflow heap, which
+  // step() serves before the wheel (see schedule for why that keeps the
+  // (due, seq) order).  The packet keeps its saved seq.
   r.expect_tag(ckpt::fourcc("PEND"), "pending injections");
-  pending_ = {};
+  reset_injections();
   const std::size_t npend = r.length(16);
   for (std::size_t i = 0; i < npend; ++i) {
-    PendingInjection p;
-    p.due_cycle = r.u64();
-    p.seq = r.u64();
-    p.packet = load_full_packet(r);
-    pending_.push(p);
+    const std::uint64_t due = r.u64();
+    const std::uint64_t seq = r.u64();
+    const std::uint32_t node = alloc_node(load_full_packet(r));
+    queued_[node].seq = seq;
+    far_.push(FarInjection{due, seq, node});
+    ++pending_count_;
   }
 
   r.expect_tag(ckpt::fourcc("REDY"), "ready queues");
-  ready_count_ = 0;
-  for (auto& per_net : ready_) {
-    per_net.clear();
+  for (std::size_t k = 0; k < 2; ++k) {
     const std::size_t ntiles = r.length(16);
     for (std::size_t i = 0; i < ntiles; ++i) {
       const std::size_t tile = static_cast<std::size_t>(r.u64());
@@ -820,9 +970,8 @@ void NocSystem::load_state(ckpt::Reader& r) {
         throw ckpt::Error(ckpt::ErrorKind::SchemaMismatch,
                           "ready-queue tile index out of range");
       const std::size_t nq = r.length(66);
-      std::deque<Packet>& q = per_net[tile];
-      for (std::size_t k = 0; k < nq; ++k) q.push_back(load_full_packet(r));
-      ready_count_ += nq;
+      for (std::size_t n = 0; n < nq; ++n)
+        push_ready(k, tile, alloc_node(load_full_packet(r)));
     }
   }
 

@@ -16,16 +16,16 @@
 //     transactions), costing extra hops and core cycles.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "wsp/obs/metrics.hpp"
@@ -34,17 +34,53 @@
 #include "wsp/noc/connectivity.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/packet.hpp"
+#include "wsp/noc/slab.hpp"
 
 namespace wsp::noc {
+
+/// Fixed-capacity sequence stored inline: a route plan has at most three
+/// waypoints and two segments, so it is copied and cached without touching
+/// the heap.
+template <typename T, std::size_t N>
+class InlineVec {
+ public:
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
+
+  InlineVec() = default;
+  InlineVec(std::initializer_list<T> items) {
+    for (const T& v : items) push_back(v);
+  }
+
+  void push_back(const T& v) {
+    assert(n_ < N);
+    items_[n_++] = v;
+  }
+  std::size_t size() const { return n_; }
+  const T& operator[](std::size_t i) const { return items_[i]; }
+  const T& front() const { return items_[0]; }
+  const T& back() const { return items_[n_ - 1]; }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + n_; }
+
+  friend bool operator==(const InlineVec& a, const InlineVec& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<T, N> items_{};
+  std::uint8_t n_ = 0;
+};
 
 /// The kernel's per-pair network choice.
 struct RoutePlan {
   /// Tile sequence of transaction segments: {src, dst} for a direct route,
   /// {src, mid, dst} when relayed through an intermediate tile.
-  std::vector<TileCoord> waypoints;
+  InlineVec<TileCoord, 3> waypoints;
   /// Network of the *request* on each segment (responses use the
   /// complement).  networks[i] covers waypoints[i] -> waypoints[i+1].
-  std::vector<NetworkKind> segment_networks;
+  InlineVec<NetworkKind, 2> segment_networks;
   bool reachable = false;
   bool relayed = false;
 };
@@ -63,8 +99,9 @@ class NetworkSelector {
 
   /// Route plan for src -> dst.  Balanced pairs alternate networks via a
   /// deterministic parity hash so both networks are equally utilised while
-  /// any one pair always uses a single network (in-order delivery).
-  RoutePlan plan(TileCoord src, TileCoord dst) const;
+  /// any one pair always uses a single network (in-order delivery).  The
+  /// reference points into the cache: it stays valid until rebind().
+  const RoutePlan& plan(TileCoord src, TileCoord dst) const;
 
   /// Adopts a new fault state (runtime fault injection) and drops all
   /// cached plans.  The grids must match the original fault map's.
@@ -83,7 +120,9 @@ class NetworkSelector {
   ConnectivityAnalyzer analyzer_;
   LinkFaultSet links_;
   std::uint64_t generation_ = 0;
-  mutable std::unordered_map<std::uint64_t, RoutePlan> cache_;
+  /// Memoised plans in first-query order, found by (src, dst) pair key.
+  mutable Slab<RoutePlan> plans_;
+  mutable FlatIndex plan_index_;
 
   /// True when the request path a->b on `kind` is healthy tile-wise *and*
   /// crosses no failed link in either travel direction (the response rides
@@ -200,8 +239,17 @@ class NocSystem {
   const MeshNetwork& network(NetworkKind k) const {
     return k == NetworkKind::XY ? xy_ : yx_;
   }
-  std::size_t inflight_transactions() const { return live_.size(); }
-  bool is_inflight(std::uint64_t id) const { return live_.count(id) != 0; }
+  std::size_t inflight_transactions() const { return live_index_.size(); }
+  bool is_inflight(std::uint64_t id) const {
+    return live_index_.find(id) != FlatIndex::kNone;
+  }
+  /// Packets that are due but still wait at their source tile because its
+  /// local injection FIFO is full (the injection backlog).
+  std::size_t ready_injections() const { return ready_count_; }
+  /// Span in cycles of the injection timing wheel: a packet scheduled this
+  /// many cycles or more ahead (only a long retry backoff does that) waits
+  /// in an overflow heap instead.
+  static constexpr std::uint64_t kInjectionWheelSpan = 64;
   const FaultMap& faults() const { return faults_; }
 
   /// Adopts a new fault state mid-run (runtime fault injection): replaces
@@ -276,17 +324,20 @@ class NocSystem {
   void load_checkpoint(const std::string& path);
 
  private:
+  /// One in-flight round trip, stored in the `live_` slab; a free slot
+  /// has id 0 (ids start at 1).
   struct LiveTransaction {
-    RoutePlan plan;
-    PacketType type;
-    std::uint64_t payload;
-    std::uint32_t address;
+    std::uint64_t id = 0;
+    std::uint64_t payload = 0;
     std::uint64_t issue_cycle = 0;
+    RoutePlan plan;
+    std::uint32_t address = 0;
+    std::uint32_t attempts = 0;  ///< retry generation currently in flight
+    PacketType type = PacketType::ReadRequest;
     /// Current segment index; requests walk 0..n-1 forward, responses walk
     /// back.  `returning` flips at the final destination.
-    std::size_t segment = 0;
+    std::uint8_t segment = 0;
     bool returning = false;
-    std::uint32_t attempts = 0;  ///< retry generation currently in flight
   };
   struct Deadline {
     std::uint64_t due_cycle;
@@ -296,15 +347,32 @@ class NocSystem {
       return std::tie(a.due_cycle, a.id) > std::tie(b.due_cycle, b.id);
     }
   };
-  struct PendingInjection {
-    std::uint64_t due_cycle;
-    std::uint64_t seq;  ///< insertion order: makes heap order deterministic
+  /// A packet waiting to enter its mesh: first in a timing-wheel bucket
+  /// (or the overflow heap) until it is due, then in its source tile's
+  /// ready queue.  Nodes live in the shared `queued_` slab and are linked
+  /// through `next`; moving a packet between lists never copies it.
+  struct QueuedPacket {
     Packet packet;
-    friend bool operator>(const PendingInjection& a,
-                          const PendingInjection& b) {
+    std::uint64_t seq = 0;  ///< schedule order: (due, seq) is service order
+    std::uint32_t next = kNil;
+  };
+  /// Singly linked FIFO of queued_ nodes.
+  struct PacketList {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// Overflow-heap entry for a packet due kInjectionWheelSpan or more
+  /// cycles after it was scheduled (and for every entry restored by
+  /// load_state).
+  struct FarInjection {
+    std::uint64_t due_cycle;
+    std::uint64_t seq;
+    std::uint32_t node;
+    friend bool operator>(const FarInjection& a, const FarInjection& b) {
       return std::tie(a.due_cycle, a.seq) > std::tie(b.due_cycle, b.seq);
     }
   };
+  static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// Registry-backed system counters resolved once at construction (the
   /// meshes bind their own under "noc.xy." / "noc.yx.").
@@ -333,17 +401,33 @@ class NocSystem {
   MeshNetwork yx_;
   std::uint64_t cycle_ = 0;
   std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, LiveTransaction> live_;
+  /// Live transactions: slab with recycled slots, id -> slot index.
+  Slab<LiveTransaction> live_;
+  std::vector<std::uint32_t> live_free_;
+  FlatIndex live_index_;
   std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>>
       deadlines_;  ///< min-heap; entries are lazily invalidated by retries
-  std::priority_queue<PendingInjection, std::vector<PendingInjection>,
-                      std::greater<>> pending_;  ///< min-heap by due cycle
+
+  /// Packet slab shared by the wheel, the overflow heap and the ready
+  /// queues; free nodes form a list through `next`.  It grows with the
+  /// number of queued packets, never with the tile count.
+  Slab<QueuedPacket> queued_;
+  std::uint32_t queued_free_ = kNil;
+  /// Deferred injections: bucket (due % span) holds the packets due in
+  /// that cycle of the coming span, appended in seq order.
+  std::array<PacketList, kInjectionWheelSpan> wheel_;
+  std::priority_queue<FarInjection, std::vector<FarInjection>,
+                      std::greater<>> far_;  ///< overflow min-heap
+  std::size_t pending_count_ = 0;  ///< wheel + far_
   std::uint64_t pending_seq_ = 0;
-  /// Packets due for injection, queued per (network, source tile) so a
-  /// full local FIFO only stalls its own tile's queue head instead of
-  /// forcing a whole-heap retry every cycle.  std::map keeps the per-cycle
-  /// service order deterministic.
-  std::array<std::map<std::size_t, std::deque<Packet>>, 2> ready_;
+  /// Packets due for injection, one FIFO per (network, source tile) at
+  /// index network * tiles + tile, so a full local FIFO only stalls its
+  /// own tile.  `ready_bits_` marks the non-empty queues (words per
+  /// network: ready_words_); step() serves them in ascending tile order,
+  /// XY before YX.
+  std::vector<PacketList> ready_;
+  std::vector<std::uint64_t> ready_bits_;
+  std::size_t ready_words_ = 0;
   std::size_t ready_count_ = 0;
   DeliveryListener delivery_listener_;
   /// Per-cycle ejection buffer, cleared (never shrunk) each step so the
@@ -358,6 +442,36 @@ class NocSystem {
     return faults_.grid().index_of(c);
   }
   void schedule(std::uint64_t due, const Packet& p);
+  std::uint32_t alloc_node(const Packet& p);
+  void free_node(std::uint32_t node) {
+    queued_[node].next = queued_free_;
+    queued_free_ = node;
+  }
+  void append(PacketList& list, std::uint32_t node) {
+    queued_[node].next = kNil;
+    if (list.tail == kNil)
+      list.head = node;
+    else
+      queued_[list.tail].next = node;
+    list.tail = node;
+  }
+  /// Moves a due packet into its source tile's ready queue, or drops it
+  /// when that tile has died since it was scheduled.
+  void make_ready(std::uint32_t node);
+  void push_ready(std::size_t net, std::size_t tile, std::uint32_t node);
+  /// Frees every node of a ready queue and clears its bit; returns the
+  /// number of packets dropped.
+  std::size_t clear_ready(std::size_t queue);
+  /// Empties the wheel, the overflow heap, the ready queues and the slab.
+  void reset_injections();
+
+  LiveTransaction* find_live(std::uint64_t id) {
+    const std::uint32_t slot = live_index_.find(id);
+    return slot == FlatIndex::kNone ? nullptr : &live_[slot];
+  }
+  LiveTransaction& add_live(std::uint64_t id);
+  void erase_live(std::uint64_t id);
+
   void handle_ejection(const Packet& p,
                        std::vector<CompletedTransaction>& done);
   void arm_deadline(std::uint64_t id, const LiveTransaction& txn,

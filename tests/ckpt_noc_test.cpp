@@ -159,6 +159,62 @@ TEST(NocCkpt, ResumeBitIdenticalWithLinkIntegrityBer) {
   EXPECT_EQ(r.resumed, r.straight);
 }
 
+TEST(NocCkpt, ResumeBitIdenticalWithInjectionBacklogAndFarRetries) {
+  // Snapshot while source tiles hold an injection backlog and retries
+  // wait beyond the injection timing wheel's span: the ready queues, the
+  // wheel and the overflow heap all have to ride the snapshot.
+  const TileGrid grid(16, 16);
+  const FaultMap faults(grid);
+  noc::NocOptions opt;
+  opt.response_timeout = 60;
+  opt.retry_backoff_base = noc::NocSystem::kInjectionWheelSpan + 8;
+  noc::NocSystem noc(faults, opt);
+  Rng rng(31);
+  std::vector<noc::CompletedTransaction> done;
+  std::uint64_t retries_before = 0;
+  for (int c = 0; c < 400; ++c) {
+    if (c == 392) retries_before = noc.stats().retries;
+    inject_traffic(noc, faults, rng, 0.5);
+    noc.step(done);
+  }
+  // A retry issued in the last 8 cycles is still due more than a wheel
+  // span ahead; the offered load keeps the local FIFOs full.
+  ASSERT_GT(noc.stats().retries, retries_before);
+  ASSERT_GT(noc.ready_injections(), 0u);
+
+  const std::vector<std::uint8_t> saved = noc_bytes(noc);
+  noc::NocSystem resumed(faults, opt);
+  ckpt::Reader r(saved);
+  resumed.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(noc_bytes(resumed), saved);
+  EXPECT_EQ(resumed.ready_injections(), noc.ready_injections());
+
+  // Same traffic on both from here on: the trace of completions and the
+  // final state must match the run that never stopped.
+  const auto run_on = [&](noc::NocSystem& sys) {
+    Rng traffic(77);
+    std::vector<noc::CompletedTransaction> out;
+    for (int c = 0; c < 300; ++c) {
+      inject_traffic(sys, faults, traffic, 0.5);
+      sys.step(out);
+    }
+    ckpt::Writer w;
+    for (const noc::CompletedTransaction& t : out) {
+      w.u64(t.id);
+      w.u64(t.issue_cycle);
+      w.u64(t.complete_cycle);
+      w.b(t.relayed);
+    }
+    return w.bytes();
+  };
+  const std::vector<std::uint8_t> straight_trace = run_on(noc);
+  const std::vector<std::uint8_t> resumed_trace = run_on(resumed);
+  EXPECT_FALSE(straight_trace.empty());
+  EXPECT_EQ(resumed_trace, straight_trace);
+  EXPECT_EQ(noc_bytes(resumed), noc_bytes(noc));
+}
+
 TEST(NocCkpt, CheckpointFileRoundTrip) {
   const TileGrid grid(8, 8);
   FaultMap faults(grid);

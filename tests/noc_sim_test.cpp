@@ -1,11 +1,16 @@
 // Cycle-level NoC tests: single-network mesh behaviour, dual-network
 // request/response pairing (Fig. 7), kernel network selection and
-// intermediate-tile relaying.
+// intermediate-tile relaying, plus the transaction layer's flat storage
+// checked against standard containers.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "wsp/common/error.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/noc/mesh_network.hpp"
 #include "wsp/noc/noc_system.hpp"
+#include "wsp/noc/slab.hpp"
 #include "wsp/noc/traffic.hpp"
 
 namespace wsp::noc {
@@ -352,6 +357,66 @@ TEST(Traffic, HotspotConcentratesTraffic) {
     if (dst == cfg.hotspot) ++hot;
   }
   EXPECT_NEAR(hot, 500, 70);
+}
+
+// ------------------------------------------------------ flat storage
+
+TEST(FlatIndex, MatchesAnUnorderedMapUnderChurn) {
+  // Ids arrive in order and leave in random order, as live transactions
+  // do; backward-shift erase must keep every remaining key findable.
+  FlatIndex index;
+  std::unordered_map<std::uint64_t, std::uint32_t> oracle;
+  Rng rng(4242);
+  std::uint64_t next = 1;
+  for (int step = 0; step < 60000; ++step) {
+    if (oracle.size() < 64 || rng.bernoulli(0.5)) {
+      const auto slot = static_cast<std::uint32_t>(rng.below(1u << 20));
+      index.insert(next, slot);
+      oracle.emplace(next, slot);
+      ++next;
+    } else {
+      const std::uint64_t key = next - 1 - rng.below(next - 1);
+      const auto it = oracle.find(key);
+      const std::uint32_t expect =
+          it == oracle.end() ? FlatIndex::kNone : it->second;
+      EXPECT_EQ(index.erase(key), expect);
+      if (it != oracle.end()) oracle.erase(it);
+    }
+    if (step % 1499 == 0) {
+      ASSERT_EQ(index.size(), oracle.size());
+      for (std::uint64_t k = 1; k < next; ++k) {
+        const auto it = oracle.find(k);
+        ASSERT_EQ(index.find(k),
+                  it == oracle.end() ? FlatIndex::kNone : it->second)
+            << "key " << k << " at step " << step;
+      }
+    }
+  }
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(1), FlatIndex::kNone);
+}
+
+TEST(Slab, ElementsStayPutWhileItGrows) {
+  Slab<std::uint64_t> slab;
+  const std::size_t first = slab.push_back(7);
+  const std::uint64_t* where = &slab[first];
+  for (std::uint64_t i = 0; i < 5 * Slab<std::uint64_t>::kChunk; ++i)
+    EXPECT_EQ(slab.push_back(i), i + 1);
+  EXPECT_EQ(&slab[first], where);
+  EXPECT_EQ(slab[first], 7u);
+  EXPECT_EQ(slab[slab.size() - 1], 5 * Slab<std::uint64_t>::kChunk - 1);
+}
+
+TEST(NetworkSelector, CachedPlanReferenceSurvivesLaterQueries) {
+  const NetworkSelector sel(FaultMap(TileGrid(16, 16)));
+  const RoutePlan& first = sel.plan({1, 1}, {9, 4});
+  const RoutePlan copy = first;
+  for (int x = 0; x < 16; ++x)
+    for (int y = 0; y < 16; ++y) (void)sel.plan({x, y}, {15 - x, y});
+  EXPECT_EQ(&sel.plan({1, 1}, {9, 4}), &first);
+  EXPECT_EQ(first.waypoints, copy.waypoints);
+  EXPECT_EQ(first.segment_networks, copy.segment_networks);
 }
 
 }  // namespace

@@ -352,7 +352,7 @@ std::vector<std::uint64_t> flatten(const noc::NocStats& s) {
 /// are the one registry entry allowed to differ across shard counts.
 /// Zero them so the rest of the report can be compared byte for byte.
 std::string normalize_shards_gauge(std::string json) {
-  for (const std::string key :
+  for (const std::string& key :
        {std::string("\"noc.xy.shards\":"), std::string("\"noc.yx.shards\":")}) {
     const std::size_t pos = json.find(key);
     if (pos == std::string::npos) continue;

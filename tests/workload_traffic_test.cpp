@@ -14,6 +14,7 @@
 #include "wsp/common/error.hpp"
 #include "wsp/cosim/cosim.hpp"
 #include "wsp/exec/thread_pool.hpp"
+#include "wsp/noc/link_integrity.hpp"
 #include "wsp/noc/noc_system.hpp"
 #include "wsp/obs/metrics.hpp"
 #include "wsp/resilience/campaign.hpp"
@@ -118,6 +119,64 @@ TEST(GoldenTrace, DeliveryDigestsMatchCheckedInConstants) {
     EXPECT_EQ(actual, g.digest)
         << to_string(g.cls) << ": actual digest 0x" << std::hex << actual;
   }
+}
+
+// An overloaded 32x32 all-reduce ring with link integrity on, timeouts
+// armed and dead tiles inside rows: the trace depends on the injection
+// backlog at the source tiles, relays around the dead tiles, hop
+// retransmits and retries (the first backoff is inside the injection
+// timing wheel's span, later ones beyond it).  The digest was computed
+// with the earlier std::map/std::deque transaction layer; the run stops
+// without draining.
+struct OverloadedRingRun {
+  std::uint32_t digest = 0;
+  noc::NocStats stats;
+  std::size_t ready_backlog = 0;
+};
+
+OverloadedRingRun run_overloaded_ring(int shards) {
+  const SystemConfig config = SystemConfig::reduced(32, 32);
+  FaultMap fm(config.grid());
+  for (const TileCoord c : {TileCoord{5, 7}, TileCoord{16, 16},
+                            TileCoord{20, 3}, TileCoord{9, 24},
+                            TileCoord{27, 12}})
+    fm.set_faulty(c);
+  noc::NocOptions nopt;
+  nopt.mesh.shards = shards;
+  nopt.mesh.integrity.enabled = true;
+  nopt.response_timeout = 160;
+  nopt.retry_backoff_base = 48;
+  noc::NocSystem noc(fm, nopt);
+  noc::LinkBerMap ber(config.grid());
+  config.grid().for_each([&](TileCoord c) {
+    for (int d = 0; d < 4; ++d)
+      ber.set_ber(c, static_cast<Direction>(d), 2e-4);
+  });
+  noc.set_link_ber(ber);
+  WorkloadSpec spec = spec_for(WorkloadClass::AllReduceRing);
+  spec.allreduce = AllReduceOptions{};  // whole wafer, 4 packets per step
+  spec.allreduce.gap_cycles = 16;
+  auto gen = make_generator(spec, config, fm);
+  OverloadedRingRun out;
+  out.digest =
+      run_workload_traffic(noc, *gen, 420, nullptr, /*drain=*/false)
+          .delivery_digest;
+  out.stats = noc.stats();
+  out.ready_backlog = noc.ready_injections();
+  return out;
+}
+
+TEST(GoldenTrace, OverloadedAllReduceWithIntegrityAndFaults) {
+  const OverloadedRingRun r = run_overloaded_ring(/*shards=*/0);
+  EXPECT_EQ(r.digest, 0x76532771u)
+      << "actual digest 0x" << std::hex << r.digest;
+  // The run must really reach the paths it is here to pin.
+  EXPECT_GT(r.ready_backlog, 0u);
+  EXPECT_GT(r.stats.relayed, 0u);
+  EXPECT_GT(r.stats.link_retransmits, 0u);
+  EXPECT_GT(r.stats.retries, 0u);
+  // Eight column-band shards (the default) and one shard must agree.
+  EXPECT_EQ(run_overloaded_ring(/*shards=*/1).digest, r.digest);
 }
 
 // --- thread x shard invariance ----------------------------------------------
