@@ -18,15 +18,18 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
   report.faulty_tiles = faults.fault_count();
 
   // --- 1. JTAG screening: one chain per row, progressive unrolling ---
+  // The procedure's TCK count depends only on where the row's first faulty
+  // tile sits, so it is counted in closed form rather than clocked out.
+  require(config.cores_per_tile <= testinfra::kMaxDapsPerTile,
+          "DAP index must fit the IDCODE field");
+  const int daps_in_path =
+      options.use_broadcast_loading ? 1 : config.cores_per_tile;
   for (int row = 0; row < config.array_height; ++row) {
-    std::vector<bool> row_faults;
-    row_faults.reserve(static_cast<std::size_t>(config.array_width));
-    for (int x = 0; x < config.array_width; ++x)
-      row_faults.push_back(faults.is_faulty({x, row}));
-    testinfra::WaferTestChain chain(config.array_width,
-                                    config.cores_per_tile, row_faults);
-    if (options.use_broadcast_loading) chain.set_broadcast(true);
-    (void)chain.locate_first_faulty(&report.screening_tcks);
+    std::optional<int> first_faulty;
+    for (int x = 0; x < config.array_width && !first_faulty; ++x)
+      if (faults.is_faulty({x, row})) first_faulty = x;
+    report.screening_tcks += testinfra::progressive_unroll_tcks(
+        config.array_width, daps_in_path, first_faulty);
   }
 
   // --- 2. clock setup ---
@@ -66,7 +69,7 @@ BringupReport run_bringup(const SystemConfig& config, const FaultMap& faults,
        i < usable_tiles.size() && report.single_system_image; ++i) {
     for (std::size_t j = 0; j < usable_tiles.size(); ++j) {
       if (i == j) continue;
-      if (!selector.plan(usable_tiles[i], usable_tiles[j]).reachable) {
+      if (!selector.reachable(usable_tiles[i], usable_tiles[j])) {
         report.single_system_image = false;
         break;
       }

@@ -17,7 +17,9 @@ const char* to_string(Direction d) {
 }
 
 std::string to_string(const TileCoord& c) {
-  return "(" + std::to_string(c.x) + "," + std::to_string(c.y) + ")";
+  std::string s = "(";
+  s.append(std::to_string(c.x)).append(",").append(std::to_string(c.y));
+  return s.append(")");
 }
 
 TileGrid::TileGrid(int width, int height) : width_(width), height_(height) {

@@ -315,17 +315,23 @@ FleetReport FleetDispatcher::run(const WorkerCommand& command) const {
                 options_.heartbeat_timeout_s ||
             (options_.attempt_deadline_s > 0.0 &&
              seconds_between(w.started, now) > options_.attempt_deadline_s);
+        const bool no_grace = options_.term_grace_s == 0.0;
         if (overdue && !w.term_sent) {
           // SIGCONT first: a SIGSTOPped worker cannot run its flush-on-
-          // SIGTERM path while frozen.
-          ::kill(w.pid, SIGCONT);
-          ::kill(w.pid, SIGTERM);
+          // SIGTERM path while frozen.  Zero grace skips the cooperative
+          // step altogether — a resumed worker could otherwise finish its
+          // in-flight work and exit cleanly before the next poll.
+          if (!no_grace) {
+            ::kill(w.pid, SIGCONT);
+            ::kill(w.pid, SIGTERM);
+          }
           w.stalled = false;
           w.term_sent = true;
           w.term_time = now;
-        } else if (w.term_sent && !w.hard_killed &&
-                   seconds_between(w.term_time, now) >
-                       options_.term_grace_s) {
+        }
+        if (w.term_sent && !w.hard_killed &&
+            (no_grace ||
+             seconds_between(w.term_time, now) > options_.term_grace_s)) {
           ::kill(w.pid, SIGKILL);
           w.hard_killed = true;
           ++worker_kills;

@@ -1,24 +1,45 @@
 #include "wsp/noc/connectivity.hpp"
 
+#include "wsp/common/error.hpp"
+
 namespace wsp::noc {
 
 ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults)
     : faults_(faults),
       width_(faults.grid().width()),
       height_(faults.grid().height()) {
-  const auto n = faults.grid().tile_count();
+  build_runs(nullptr);
+}
+
+ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults,
+                                           const LinkFaultSet& links)
+    : faults_(faults),
+      width_(faults.grid().width()),
+      height_(faults.grid().height()) {
+  require(links.grid().width() == width_ && links.grid().height() == height_,
+          "link fault set grid mismatch");
+  build_runs(&links);
+}
+
+void ConnectivityAnalyzer::build_runs(const LinkFaultSet* links) {
+  const auto n = faults_.grid().tile_count();
   row_run_.assign(n, -1);
   col_run_.assign(n, -1);
+
+  // The link from `prev` one step in direction `d` is usable iff both of
+  // its travel directions are alive.
+  auto link_alive = [&](TileCoord prev, Direction d) {
+    return !links || (!links->is_failed(prev, d) &&
+                      !links->is_failed(step(prev, d), opposite(d)));
+  };
 
   int next_run = 0;
   for (int y = 0; y < height_; ++y) {
     bool in_run = false;
     for (int x = 0; x < width_; ++x) {
       if (faults_.is_healthy({x, y})) {
-        if (!in_run) {
-          ++next_run;
-          in_run = true;
-        }
+        if (!in_run || !link_alive({x - 1, y}, Direction::East)) ++next_run;
+        in_run = true;
         row_run_[static_cast<std::size_t>(y) * width_ + x] = next_run;
       } else {
         in_run = false;
@@ -29,33 +50,14 @@ ConnectivityAnalyzer::ConnectivityAnalyzer(const FaultMap& faults)
     bool in_run = false;
     for (int y = 0; y < height_; ++y) {
       if (faults_.is_healthy({x, y})) {
-        if (!in_run) {
-          ++next_run;
-          in_run = true;
-        }
+        if (!in_run || !link_alive({x, y - 1}, Direction::North)) ++next_run;
+        in_run = true;
         col_run_[static_cast<std::size_t>(x) * height_ + y] = next_run;
       } else {
         in_run = false;
       }
     }
   }
-}
-
-bool ConnectivityAnalyzer::xy_connected(TileCoord src, TileCoord dst) const {
-  if (faults_.is_faulty(src) || faults_.is_faulty(dst)) return false;
-  // Row segment in src's row from src.x to dst.x, then column segment in
-  // dst's column from src.y to dst.y.  Each is healthy iff its endpoints
-  // share a maximal healthy run.
-  const TileCoord corner{dst.x, src.y};
-  if (faults_.is_faulty(corner)) return false;
-  return row_run(src) == row_run(corner) && col_run(corner) == col_run(dst);
-}
-
-bool ConnectivityAnalyzer::yx_connected(TileCoord src, TileCoord dst) const {
-  if (faults_.is_faulty(src) || faults_.is_faulty(dst)) return false;
-  const TileCoord corner{src.x, dst.y};
-  if (faults_.is_faulty(corner)) return false;
-  return col_run(src) == col_run(corner) && row_run(corner) == row_run(dst);
 }
 
 DisconnectionStats census_disconnection(const FaultMap& faults) {

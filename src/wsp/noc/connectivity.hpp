@@ -11,7 +11,10 @@
 // `ConnectivityAnalyzer` answers pair-connectivity queries in O(1) after an
 // O(tiles) preprocessing pass: a DoR path is healthy iff its row segment
 // and its column segment each lie inside a single maximal healthy run of
-// that row/column, so two run-id lookups decide each path.
+// that row/column, so two run-id lookups decide each path.  Given a
+// LinkFaultSet, a failed link between two adjacent healthy tiles — in
+// either travel direction — also ends the run at that edge, so the same
+// two lookups decide whether a path's tiles *and* links are all alive.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +30,26 @@ namespace wsp::noc {
 class ConnectivityAnalyzer {
  public:
   explicit ConnectivityAnalyzer(const FaultMap& faults);
+  /// Link-aware runs: a path is connected only if it also crosses no
+  /// failed link in either direction (a request and its complementary-
+  /// network response ride the same tiles in opposite directions).
+  ConnectivityAnalyzer(const FaultMap& faults, const LinkFaultSet& links);
 
-  bool xy_connected(TileCoord src, TileCoord dst) const;
-  bool yx_connected(TileCoord src, TileCoord dst) const;
+  /// X-Y path: the row segment in src's row from src.x to dst.x, then the
+  /// column segment in dst's column.  Each is usable iff its endpoints
+  /// share a run; run ids are positive, so a match also proves health.
+  bool xy_connected(TileCoord src, TileCoord dst) const {
+    const TileCoord corner{dst.x, src.y};
+    const int run = row_run(src);
+    return run > 0 && run == row_run(corner) &&
+           col_run(corner) == col_run(dst);
+  }
+  bool yx_connected(TileCoord src, TileCoord dst) const {
+    const TileCoord corner{src.x, dst.y};
+    const int run = col_run(src);
+    return run > 0 && run == col_run(corner) &&
+           row_run(corner) == row_run(dst);
+  }
   bool dual_connected(TileCoord src, TileCoord dst) const {
     return xy_connected(src, dst) || yx_connected(src, dst);
   }
@@ -41,11 +61,13 @@ class ConnectivityAnalyzer {
   int width_;
   int height_;
   // Maximal healthy-run ids; -1 on faulty tiles.  Two tiles in the same
-  // row (column) are joined by a healthy straight segment iff their run
-  // ids match.
+  // row (column) are joined by a healthy straight segment — healthy tiles,
+  // live links both ways — iff their run ids match.
   std::vector<int> row_run_;  // indexed y*width+x
   std::vector<int> col_run_;  // indexed x*height+y
 
+  /// Fills the run ids; `links` may be null (tile faults only).
+  void build_runs(const LinkFaultSet* links);
   int row_run(TileCoord c) const { return row_run_[static_cast<std::size_t>(c.y) * width_ + c.x]; }
   int col_run(TileCoord c) const { return col_run_[static_cast<std::size_t>(c.x) * height_ + c.y]; }
 };

@@ -11,28 +11,12 @@
 
 namespace wsp::noc {
 
-namespace {
-
-/// Direction of the single-step move a -> b (adjacent tiles).
-Direction direction_between(TileCoord a, TileCoord b) {
-  if (b.x > a.x) return Direction::East;
-  if (b.x < a.x) return Direction::West;
-  if (b.y > a.y) return Direction::North;
-  return Direction::South;
-}
-
-}  // namespace
-
 NetworkSelector::NetworkSelector(const FaultMap& faults)
-    : analyzer_(faults), links_(faults.grid()) {}
+    : analyzer_(faults) {}
 
 NetworkSelector::NetworkSelector(const FaultMap& faults,
                                  const LinkFaultSet& links)
-    : analyzer_(faults), links_(links) {
-  require(links.grid().width() == faults.grid().width() &&
-              links.grid().height() == faults.grid().height(),
-          "link fault set grid mismatch");
-}
+    : analyzer_(faults, links) {}
 
 void NetworkSelector::rebind(const FaultMap& faults,
                              const LinkFaultSet& links) {
@@ -43,55 +27,36 @@ void NetworkSelector::rebind(const FaultMap& faults,
   require(links.grid().width() == old.width() &&
               links.grid().height() == old.height(),
           "rebind: link fault set grid mismatch");
-  analyzer_ = ConnectivityAnalyzer(faults);
-  links_ = links;
+  analyzer_ = ConnectivityAnalyzer(faults, links);
   plans_.clear();
   plan_index_.clear();
   ++generation_;
 }
 
-bool NetworkSelector::segment_clear(TileCoord a, TileCoord b,
-                                    NetworkKind kind) const {
-  const bool tiles_ok = kind == NetworkKind::XY
-                            ? analyzer_.xy_connected(a, b)
-                            : analyzer_.yx_connected(a, b);
-  if (!tiles_ok) return false;
-  if (links_.empty()) return true;
-  // The request runs a -> b on `kind`; the response runs b -> a on the
-  // complement, over the same tiles in reverse.  Both travel directions of
-  // every link on the path must therefore be alive.
-  const std::vector<TileCoord> path = dor_path(a, b, kind);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const Direction d = direction_between(path[i], path[i + 1]);
-    if (links_.is_failed(path[i], d) ||
-        links_.is_failed(path[i + 1], opposite(d)))
-      return false;
+std::optional<NetworkKind> NetworkSelector::choose(TileCoord a,
+                                                   TileCoord b) const {
+  const bool xy = analyzer_.xy_connected(a, b);
+  const bool yx = analyzer_.yx_connected(a, b);
+  if (xy && yx) {
+    // Both paths healthy: balance pairs across the networks with a
+    // deterministic parity hash; one pair always maps to one network so
+    // its packets stay in order.
+    const unsigned h = static_cast<unsigned>(a.x + 3 * a.y + 5 * b.x +
+                                             7 * b.y);
+    return (h & 1u) ? NetworkKind::YX : NetworkKind::XY;
   }
-  return true;
+  if (xy) return NetworkKind::XY;
+  if (yx) return NetworkKind::YX;
+  return std::nullopt;
 }
 
 RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
   RoutePlan plan;
   const FaultMap& faults = analyzer_.faults();
-  if (!faults.grid().contains(src) || !faults.grid().contains(dst) ||
-      faults.is_faulty(src) || faults.is_faulty(dst))
+  const TileGrid& grid = faults.grid();
+  if (!grid.contains(src) || !grid.contains(dst) || faults.is_faulty(src) ||
+      faults.is_faulty(dst))
     return plan;
-
-  auto choose = [&](TileCoord a, TileCoord b) -> std::optional<NetworkKind> {
-    const bool xy = segment_clear(a, b, NetworkKind::XY);
-    const bool yx = segment_clear(a, b, NetworkKind::YX);
-    if (xy && yx) {
-      // Both paths healthy: balance pairs across the networks with a
-      // deterministic parity hash; one pair always maps to one network so
-      // its packets stay in order.
-      const unsigned h = static_cast<unsigned>(a.x + 3 * a.y + 5 * b.x +
-                                               7 * b.y);
-      return (h & 1u) ? NetworkKind::YX : NetworkKind::XY;
-    }
-    if (xy) return NetworkKind::XY;
-    if (yx) return NetworkKind::YX;
-    return std::nullopt;
-  };
 
   if (const auto direct = choose(src, dst)) {
     plan.waypoints = {src, dst};
@@ -100,38 +65,42 @@ RoutePlan NetworkSelector::compute_plan(TileCoord src, TileCoord dst) const {
     return plan;
   }
 
-  // No direct path on either network: relay through an intermediate tile.
+  // No direct path on either network: relay through the first
+  // intermediate tile, in (added hops, tile index) order, whose two
+  // segments are both usable.
   auto relay_via = [&](TileCoord mid) -> bool {
     if (mid == src || mid == dst) return false;
     const auto first = choose(src, mid);
+    if (!first) return false;
     const auto second = choose(mid, dst);
-    if (!first || !second) return false;
+    if (!second) return false;
     plan.waypoints = {src, mid, dst};
     plan.segment_networks = {*first, *second};
     plan.reachable = true;
     plan.relayed = true;
     return true;
   };
-  if (const auto mid = find_intermediate(faults, src, dst)) {
-    if (relay_via(*mid)) return plan;
-  }
-  // find_intermediate only knows about tile faults; with failed links its
-  // candidate may sit on a broken row/column.  Search the remaining
-  // intermediates link-aware, in added-hop order (index as tiebreak) so
-  // the plan stays deterministic and minimal.
-  if (!links_.empty()) {
-    const int direct = hop_distance(src, dst);
-    std::vector<std::pair<int, std::size_t>> candidates;
-    faults.grid().for_each([&](TileCoord c) {
-      if (faults.is_faulty(c) || c == src || c == dst) return;
-      candidates.emplace_back(hop_distance(src, c) + hop_distance(c, dst) -
-                                  direct,
-                              faults.grid().index_of(c));
-    });
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [added, index] : candidates) {
-      (void)added;
-      if (relay_via(faults.grid().coord_of(index))) return plan;
+  // A tile adds 2 * (its x distance outside the src/dst bounding box + its
+  // y distance outside it) hops.  Ring k of the walk (2k added hops) holds,
+  // per row at y distance oy <= k, the box's column span when oy == k and
+  // otherwise the two tiles k - oy columns either side of the box; rows go
+  // upward and columns eastward, i.e. in tile-index order.
+  const int x_lo = std::min(src.x, dst.x), x_hi = std::max(src.x, dst.x);
+  const int y_lo = std::min(src.y, dst.y), y_hi = std::max(src.y, dst.y);
+  const int max_ring = std::max(x_lo, grid.width() - 1 - x_hi) +
+                       std::max(y_lo, grid.height() - 1 - y_hi);
+  for (int k = 0; k <= max_ring; ++k) {
+    const int y_end = std::min(grid.height() - 1, y_hi + k);
+    for (int y = std::max(0, y_lo - k); y <= y_end; ++y) {
+      const int ox = k - (y < y_lo ? y_lo - y : y > y_hi ? y - y_hi : 0);
+      if (ox == 0) {
+        for (int x = x_lo; x <= x_hi; ++x)
+          if (relay_via({x, y})) return plan;
+      } else {
+        if (x_lo - ox >= 0 && relay_via({x_lo - ox, y})) return plan;
+        if (x_hi + ox < grid.width() && relay_via({x_hi + ox, y}))
+          return plan;
+      }
     }
   }
   return plan;
@@ -150,6 +119,14 @@ const RoutePlan& NetworkSelector::plan(TileCoord src, TileCoord dst) const {
     plan_index_.insert(key, slot);
   }
   return plans_[slot];
+}
+
+bool NetworkSelector::reachable(TileCoord src, TileCoord dst) const {
+  // Most pairs of an all-pairs sweep route directly; answer those with the
+  // two run-id lookups before building a plan.
+  const TileGrid& grid = analyzer_.faults().grid();
+  if (!grid.contains(src) || !grid.contains(dst)) return false;
+  return analyzer_.dual_connected(src, dst) || compute_plan(src, dst).reachable;
 }
 
 NocSystem::NocSystem(const FaultMap& faults, const NocOptions& options,

@@ -87,11 +87,18 @@ struct RoutePlan {
 
 /// Kernel-software network selection from the fault map (Sec. VI).
 ///
+/// Every routing question reduces to O(1) run-id lookups in a link-aware
+/// ConnectivityAnalyzer: a path is usable iff its tiles are healthy and it
+/// crosses no failed link in either direction (the response rides the
+/// complementary network back over the same tiles).  Without a direct path
+/// the pair is relayed through the intermediate tile with the fewest added
+/// hops (lowest tile index on ties), found by one early-exit walk.
+///
 /// Plans are memoised per (src, dst) pair; `rebind()` adopts a new fault
 /// state at runtime and invalidates every cached plan, so the next packet
 /// of each pair replans with the usual fallback ladder X-Y -> Y-X ->
-/// relayed.  When a LinkFaultSet is bound, a path is only used if it also
-/// avoids every failed directed link.
+/// relayed.  `reachable()` answers the same question without caching, for
+/// all-pairs sweeps.
 class NetworkSelector {
  public:
   explicit NetworkSelector(const FaultMap& faults);
@@ -103,6 +110,9 @@ class NetworkSelector {
   /// reference points into the cache: it stays valid until rebind().
   const RoutePlan& plan(TileCoord src, TileCoord dst) const;
 
+  /// plan(src, dst).reachable, computed without touching the plan cache.
+  bool reachable(TileCoord src, TileCoord dst) const;
+
   /// Adopts a new fault state (runtime fault injection) and drops all
   /// cached plans.  The grids must match the original fault map's.
   void rebind(const FaultMap& faults, const LinkFaultSet& links);
@@ -113,21 +123,19 @@ class NetworkSelector {
   /// Number of rebinds so far; bumping it is what invalidates the cache.
   std::uint64_t generation() const { return generation_; }
 
+  /// The link-aware analyzer the plans are made from.
   const ConnectivityAnalyzer& connectivity() const { return analyzer_; }
-  const LinkFaultSet& links() const { return links_; }
 
  private:
   ConnectivityAnalyzer analyzer_;
-  LinkFaultSet links_;
   std::uint64_t generation_ = 0;
   /// Memoised plans in first-query order, found by (src, dst) pair key.
   mutable Slab<RoutePlan> plans_;
   mutable FlatIndex plan_index_;
 
-  /// True when the request path a->b on `kind` is healthy tile-wise *and*
-  /// crosses no failed link in either travel direction (the response rides
-  /// the complementary network back over the same tiles).
-  bool segment_clear(TileCoord a, TileCoord b, NetworkKind kind) const;
+  /// Request network for the segment a -> b, or nullopt when neither
+  /// network's path is usable.
+  std::optional<NetworkKind> choose(TileCoord a, TileCoord b) const;
   RoutePlan compute_plan(TileCoord src, TileCoord dst) const;
 };
 

@@ -360,7 +360,7 @@ DegradationReport DegradationCampaign::run() const {
     for (std::size_t j = 0; j < survivors.size(); ++j) {
       if (i == j) continue;
       ++total_pairs;
-      if (noc.selector().plan(survivors[i], survivors[j]).reachable)
+      if (noc.selector().reachable(survivors[i], survivors[j]))
         ++reachable_pairs;
     }
   }

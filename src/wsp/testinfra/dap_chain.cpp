@@ -68,7 +68,7 @@ TileTestChain::TileTestChain(int dap_count, std::uint32_t base_idcode,
                              bool tile_faulty)
     : faulty_(tile_faulty) {
   require(dap_count >= 1, "a tile chain needs at least one DAP");
-  require(dap_count <= 16, "DAP index must fit the IDCODE field");
+  require(dap_count <= kMaxDapsPerTile, "DAP index must fit the IDCODE field");
   daps_.reserve(static_cast<std::size_t>(dap_count));
   // Per-DAP IDCODE: the tile's base code with the DAP index in bits 7:4
   // (matches WaferTestChain::expected_idcode).  A faulty tile's DAPs are
@@ -306,6 +306,20 @@ std::optional<int> WaferTestChain::locate_first_faulty(
   }
   if (tck_budget) *tck_budget += host.tck_count();
   return first_faulty;
+}
+
+std::uint64_t progressive_unroll_tcks(int tiles, int daps_in_path,
+                                      std::optional<int> first_faulty) {
+  require(tiles >= 1, "chain needs at least one tile");
+  require(daps_in_path >= 1, "need at least one DAP in the path");
+  require(!first_faulty || (*first_faulty >= 0 && *first_faulty < tiles),
+          "first faulty tile out of range");
+  // Sum over k = 0..K of (11 + 32·(k+1)·d), with K+1 steps.
+  const auto steps =
+      static_cast<std::uint64_t>(first_faulty ? *first_faulty + 1 : tiles);
+  const auto d = static_cast<std::uint64_t>(daps_in_path);
+  return 11 * steps +
+         static_cast<std::uint64_t>(kIdcodeBits) * d * steps * (steps + 1) / 2;
 }
 
 }  // namespace wsp::testinfra

@@ -39,6 +39,8 @@ inline constexpr std::uint8_t kIrMemRead = 0xA;  ///< capture on Capture-DR
 inline constexpr int kIrBits = 4;
 inline constexpr int kIdcodeBits = 32;
 inline constexpr int kWordBits = 32;
+/// The DAP index occupies IDCODE bits 7:4.
+inline constexpr int kMaxDapsPerTile = 16;
 
 /// One core's Debug Access Port: TAP controller + IR + IDCODE/BYPASS DRs.
 /// A faulty DAP drives its TDO stuck-at-0.
@@ -154,6 +156,15 @@ class WaferTestChain {
 
   friend class JtagHost;
 };
+
+/// TCK cycles WaferTestChain::locate_first_faulty spends on a chain of
+/// `tiles` tiles with `daps_in_path` DAPs per tile in the scan path, given
+/// the index of the first faulty tile (nullopt for a fault-free chain).
+/// Unroll step k reads the (k+1)·d IDCODEs of the active prefix: 5 reset,
+/// 4 enter-Shift-DR, 32·(k+1)·d shift and 2 exit clocks.  Steps run from 0
+/// to the first faulty index, or to tiles-1 when every tile is good.
+std::uint64_t progressive_unroll_tcks(int tiles, int daps_in_path,
+                                      std::optional<int> first_faulty);
 
 /// Host-side JTAG driver: wiggles TMS/TDI against a WaferTestChain and
 /// implements the standard scan operations.

@@ -101,6 +101,16 @@ TEST(Bringup, EndToEndFromMonteCarloAssembly) {
   EXPECT_GE(r.usable_tiles + r.faulty_tiles + 1, 64u);  // at most 1 enclave here
 }
 
+TEST(Bringup, FaultFreePaperWaferScreeningTckCount) {
+  // Broadcast loading (the default) shows one DAP per tile, so every row
+  // of the 32-tile chain unrolls fully: sum over k = 0..31 of
+  // 11 + 32 * (k + 1) = 17 248 TCKs per row.
+  const SystemConfig cfg = SystemConfig::paper_prototype();
+  const BringupReport r = run_bringup(cfg, FaultMap(cfg.grid()));
+  EXPECT_EQ(r.screening_tcks, 32u * 17248u);
+  EXPECT_EQ(r.screening_tcks, 551936u);
+}
+
 TEST(Bringup, ValidatesInputs) {
   const SystemConfig cfg = SystemConfig::reduced(4, 4);
   const FaultMap wrong(TileGrid(5, 5));

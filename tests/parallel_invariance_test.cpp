@@ -356,9 +356,12 @@ std::string normalize_shards_gauge(std::string json) {
        {std::string("\"noc.xy.shards\":"), std::string("\"noc.yx.shards\":")}) {
     const std::size_t pos = json.find(key);
     if (pos == std::string::npos) continue;
-    std::size_t end = pos + key.size();
+    const std::size_t value = pos + key.size();
+    std::size_t end = value;
     while (end < json.size() && json[end] >= '0' && json[end] <= '9') ++end;
-    json.replace(pos + key.size(), end - (pos + key.size()), "0");
+    std::string out = json.substr(0, value);
+    out.append("0").append(json, end, std::string::npos);
+    json = std::move(out);
   }
   return json;
 }

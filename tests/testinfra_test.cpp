@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "wsp/common/error.hpp"
+#include "wsp/common/rng.hpp"
 #include "wsp/testinfra/dap_chain.hpp"
 #include "wsp/testinfra/prebond.hpp"
 #include "wsp/testinfra/tap.hpp"
@@ -185,6 +186,42 @@ TEST(Unrolling, WorksInBroadcastMode) {
   const auto found = chain.locate_first_faulty(&tcks);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, 4);
+}
+
+// The closed-form TCK count of progressive unrolling agrees with the
+// bit-level chain for every first-faulty position (and none), whatever
+// sits behind the first fault.
+TEST(Unrolling, ClosedFormTckCountMatchesTheChain) {
+  Rng rng(16);
+  for (const int width : {1, 2, 7, 32}) {
+    for (const bool broadcast : {false, true}) {
+      for (int first = -1; first < width; ++first) {
+        std::vector<bool> faulty(static_cast<std::size_t>(width), false);
+        if (first >= 0) {
+          faulty[static_cast<std::size_t>(first)] = true;
+          for (int x = first + 1; x < width; ++x)
+            faulty[static_cast<std::size_t>(x)] = rng.below(2) != 0;
+        }
+        WaferTestChain chain(width, 3, faulty);
+        chain.set_broadcast(broadcast);
+        std::uint64_t tcks = 0;
+        const auto found = chain.locate_first_faulty(&tcks);
+        ASSERT_EQ(found.value_or(-1), first);
+        EXPECT_EQ(progressive_unroll_tcks(width, broadcast ? 1 : 3, found),
+                  tcks)
+            << "width " << width << " broadcast " << broadcast
+            << " first faulty " << first;
+      }
+    }
+  }
+}
+
+TEST(Unrolling, ClosedFormTckCountKnownValues) {
+  EXPECT_EQ(progressive_unroll_tcks(32, 1, 0), 43u);
+  EXPECT_EQ(progressive_unroll_tcks(32, 1, 8), 1539u);
+  EXPECT_EQ(progressive_unroll_tcks(32, 1, std::nullopt), 17248u);
+  EXPECT_THROW(progressive_unroll_tcks(8, 1, 8), Error);
+  EXPECT_THROW(progressive_unroll_tcks(8, 0, std::nullopt), Error);
 }
 
 // ---------------------------------------------------------------- prebond
